@@ -33,12 +33,11 @@
 //! [--dominance] [--max-n K] [--disk-dir DIR] [--ram-budget BYTES] [--json]`
 
 use baselines::NonDetectableCas;
-use bench::{flag_present, flag_value, json_mode, markdown_table, threads_flag};
-use detectable::{ObjectKind, OpSpec};
-use harness::{
-    census_table_json, gray_code_cas_ops, resolve_parallelism, BfsConfig, Scenario, Verdict,
-    Workload,
+use bench::{
+    flag_present, flag_value, json_mode, markdown_table, reject_unknown_flags, threads_flag,
 };
+use detectable::{ObjectKind, OpSpec};
+use harness::{census_table_json, gray_code_cas_ops, BfsConfig, Scenario, Verdict, Workload};
 
 /// The Gray-code witness walk as a scenario for `n` processes.
 fn witness_scenario(n: u32, detectable: bool) -> Scenario {
@@ -98,8 +97,11 @@ fn row(mode: &str, n: u32, v: &Verdict) -> Vec<String> {
 }
 
 fn main() {
-    // `--threads` omitted → 0 → the host's available parallelism.
-    let threads = resolve_parallelism(threads_flag());
+    reject_unknown_flags(
+        &["threads", "max-n", "disk-dir", "ram-budget"],
+        &["dominance", "json"],
+    );
+    let threads = threads_flag();
     let dominance = flag_present("dominance");
     let max_n: u32 =
         flag_value("max-n").map_or(6, |v| v.parse().expect("--max-n takes a process count"));

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin perturb_table [-- --json]`
 
-use bench::{json_mode, markdown_table};
+use bench::{json_mode, markdown_table, reject_unknown_flags};
 use detectable::ObjectKind;
 use harness::{verdicts_to_json, Scenario, Verdict};
 
@@ -25,6 +25,7 @@ fn fmt_ops(ops: &[detectable::OpSpec]) -> String {
 }
 
 fn main() {
+    reject_unknown_flags(&[], &["json"]);
     let kinds = [
         (
             ObjectKind::Register,

@@ -31,7 +31,7 @@
 //! fails a check, or errors.
 
 use baselines::{NonDetectableCas, NonDetectableRegister};
-use bench::{flag_present, flag_value, json_mode, markdown_table};
+use bench::{flag_present, flag_value, json_mode, markdown_table, reject_unknown_flags};
 use detectable::{ObjectKind, RecoverableObject};
 use harness::process_crash::{
     default_factory, kind_name, maybe_run_worker, run_cycle, CrashCycleConfig,
@@ -131,6 +131,19 @@ fn positive_flag(flag: &str, default: u64) -> u64 {
 
 fn main() {
     maybe_run_worker(factory);
+    reject_unknown_flags(
+        &[
+            "cycles",
+            "ops",
+            "procs",
+            "kill-window",
+            "seed",
+            "cache",
+            "kill-subset",
+            "recovery-kills",
+        ],
+        &["procs-as-processes", "json"],
+    );
 
     let cycles: u64 = positive_flag("cycles", 25);
     let total_ops: usize = positive_flag("ops", 900) as usize;

@@ -9,19 +9,20 @@
 //! instructions) remain correct under the Izraelevitz transformation;
 //! persist counts are reported.
 //!
-//! Run: `cargo run --release -p bench --bin soak_table [-- --cache shared] [-- --json]`
+//! Run: `cargo run --release -p bench --bin soak_table [-- --cache private|shared] [--json]`
 
 use baselines::{TaggedCas, TaggedRegister};
-use bench::{json_mode, markdown_table};
+use bench::{flag_value, json_mode, markdown_table, reject_unknown_flags};
 use detectable::ObjectKind;
 use harness::{CrashModel, Scenario, SimConfig, Sweep, Workload};
 use nvm::CacheMode;
 
 fn main() {
-    let mode = if std::env::args().any(|a| a == "shared" || a == "--cache") {
-        CacheMode::SharedCache
-    } else {
-        CacheMode::PrivateCache
+    reject_unknown_flags(&["cache"], &["json"]);
+    let mode = match flag_value("cache").as_deref() {
+        Some("shared") => CacheMode::SharedCache,
+        Some("private") | None => CacheMode::PrivateCache,
+        Some(other) => panic!("--cache expects private|shared, got {other:?}"),
     };
     let seeds = 300u64;
 

@@ -11,11 +11,12 @@
 //! Run: `cargo run --release -p bench --bin space_table [-- --json]`
 
 use baselines::{NonDetectableCas, TaggedCas, TaggedRegister};
-use bench::{json_mode, markdown_table};
+use bench::{json_mode, markdown_table, reject_unknown_flags};
 use detectable::ObjectKind;
 use harness::{verdicts_to_json, Scenario, Verdict};
 
 fn main() {
+    reject_unknown_flags(&[], &["json"]);
     let ns = [2u32, 4, 8, 16, 32];
     let mut rows = Vec::new();
     let mut verdicts: Vec<Verdict> = Vec::new();

@@ -17,7 +17,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin steps_table [-- --json]`
 
-use bench::{json_mode, markdown_table};
+use bench::{json_mode, markdown_table, reject_unknown_flags};
 use detectable::{ObjectKind, OpSpec};
 use harness::{Driver, RetryPolicy, Scenario, StepOutcome};
 use nvm::Pid;
@@ -114,6 +114,7 @@ fn row(
 }
 
 fn main() {
+    reject_unknown_flags(&[], &["json"]);
     let mut rows = Vec::new();
     for n in [2u32, 4, 8, 16] {
         rows.push(row(

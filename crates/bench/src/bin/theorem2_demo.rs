@@ -16,7 +16,7 @@
 //! Run: `cargo run --release -p bench --bin theorem2_demo`
 
 use baselines::{TaggedCas, TaggedRegister, WithoutPrepare};
-use bench::markdown_table;
+use bench::{markdown_table, reject_unknown_flags};
 use detectable::{
     DetectableCas, DetectableCounter, DetectableFaa, DetectableQueue, DetectableRegister,
     DetectableSwap, DetectableTas, MaxRegister, OpSpec, RecoverableObject,
@@ -42,6 +42,7 @@ fn probe(name: &str, aux: bool, obj: &dyn RecoverableObject, mem: &SimMemory) ->
 }
 
 fn main() {
+    reject_unknown_flags(&[], &[]);
     let mut rows = Vec::new();
 
     macro_rules! both {

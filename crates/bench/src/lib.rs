@@ -104,17 +104,65 @@ pub fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Worker threads requested via `--threads N`. Experiment binaries with
-/// parallel engines (the census BFS, the explorer) pass this through.
+/// Panics unless every command-line argument is one of the flags a
+/// binary declares: `--<name> V` or `--<name>=V` for a name in `valued`,
+/// bare `--<name>` for a name in `bare`. Call it first in `main`, so a
+/// misspelled flag (`--thread 2`) fails the run instead of being ignored.
+pub fn reject_unknown_flags(valued: &[&str], bare: &[&str]) {
+    if let Err(e) = check_flags(std::env::args().skip(1), valued, bare) {
+        panic!("{e}");
+    }
+}
+
+/// The check behind [`reject_unknown_flags`], over an explicit argument
+/// list (program name excluded).
+fn check_flags(
+    args: impl IntoIterator<Item = String>,
+    valued: &[&str],
+    bare: &[&str],
+) -> Result<(), String> {
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        let flag = a.strip_prefix("--").unwrap_or("");
+        let known = match flag.split_once('=') {
+            Some((name, _)) => valued.contains(&name),
+            None if valued.contains(&flag) => {
+                if args.next().is_none() {
+                    return Err(format!("{a} expects a value"));
+                }
+                true
+            }
+            None => bare.contains(&flag),
+        };
+        if !known {
+            let flags: Vec<String> = valued
+                .iter()
+                .map(|f| format!("--{f} V"))
+                .chain(bare.iter().map(|f| format!("--{f}")))
+                .collect();
+            return Err(format!(
+                "unknown argument {a:?}; known flags: [{}]",
+                flags.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Worker threads requested via `--threads N`; without the flag, the
+/// host's available parallelism. Experiment binaries with parallel
+/// engines (the census BFS, the explorer) pass this through. This is the
+/// only place the host's CPU count picks a worker count: the harness
+/// configs default to one worker.
 ///
-/// `--threads 0` is rejected: the auto default is spelled by *omitting*
-/// the flag, which returns 0 so the harness's `resolve_parallelism` picks
-/// the host's available parallelism. Values above the host's CPU count
-/// are allowed (oversubscription is sometimes useful for scheduler
-/// stress) but warn on stderr.
+/// `--threads 0` is rejected: the host default is spelled by *omitting*
+/// the flag. Values above the host's CPU count are allowed
+/// (oversubscription is sometimes useful for scheduler stress) but warn
+/// on stderr.
 pub fn threads_flag() -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |c| c.get());
     let Some(v) = flag_value("threads") else {
-        return 0; // auto: resolve to the host's available parallelism
+        return host;
     };
     let n: usize = v
         .parse()
@@ -122,7 +170,6 @@ pub fn threads_flag() -> usize {
     if n == 0 {
         panic!("--threads 0 is invalid; omit the flag to use the host's available parallelism");
     }
-    let host = std::thread::available_parallelism().map_or(1, |c| c.get());
     if n > host {
         eprintln!("warning: --threads {n} exceeds the host's {host} available CPUs");
     }
@@ -177,6 +224,31 @@ mod tests {
         assert!(t.contains("| name "));
         assert!(t.contains("| long-name |"));
         assert_eq!(t.lines().count(), 4);
+    }
+
+    #[test]
+    fn flag_check_accepts_declared_flags_only() {
+        let check = |args: &[&str]| {
+            check_flags(
+                args.iter().map(|a| a.to_string()),
+                &["threads", "cache"],
+                &["json"],
+            )
+        };
+        assert!(check(&[]).is_ok());
+        assert!(check(&["--threads", "2", "--json", "--cache=shared"]).is_ok());
+        let typo = check(&["--thread", "2"]).unwrap_err();
+        assert!(typo.contains("\"--thread\""), "{typo}");
+        assert!(typo.contains("--threads V"), "{typo}");
+        assert!(
+            check(&["shared"]).is_err(),
+            "positional arguments are unknown"
+        );
+        assert!(check(&["--json=1"]).is_err(), "bare flags take no value");
+        assert!(check(&["--threads"])
+            .unwrap_err()
+            .contains("expects a value"));
+        assert!(check_flags(["--json".to_string()], &[], &[]).is_err());
     }
 
     #[test]

@@ -271,12 +271,12 @@ pub struct BfsConfig {
     /// the cap binds, and the report is flagged
     /// [`truncated`](CensusReport::truncated).
     pub max_states: usize,
-    /// Worker threads for frontier expansion. At this layer `0` and `1`
-    /// both mean sequential search; the [`Scenario`](crate::Scenario)
-    /// runner resolves `0` (the default) to the host's available
-    /// parallelism before the engine sees it. Runs that complete within
-    /// `max_states` report identical counts at every setting (see the
-    /// [module docs](self) for the truncation caveat).
+    /// Worker threads for frontier expansion; `0` is treated as `1`, and
+    /// both mean sequential search (the default). Every entry point,
+    /// [`Scenario`](crate::Scenario) included, passes it through
+    /// unchanged. Runs that complete within `max_states` report identical
+    /// counts at every setting (see the [module docs](self) for the
+    /// truncation caveat).
     pub parallelism: usize,
     /// ops_used-dominance pruning: expand only the lowest-remaining-budget
     /// copy of each configuration. **Non-count-preserving** — `work`
@@ -309,7 +309,7 @@ impl Default for BfsConfig {
         BfsConfig {
             max_ops: 6,
             max_states: 2_000_000,
-            parallelism: 0,
+            parallelism: 1,
             dominance: false,
             disk_dir: None,
             ram_budget: None,

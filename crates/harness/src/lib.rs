@@ -81,8 +81,8 @@ pub use process_crash::{
 };
 pub use report::{census_table_json, markdown_table, verdicts_to_json};
 pub use scenario::{
-    build_kind, resolve_parallelism, AggregateRow, CrashModel, RunMode, RunStats, Runner, Scenario,
-    Sweep, SweepCell, SweepReport, Verdict,
+    build_kind, AggregateRow, CrashModel, RunMode, RunStats, Runner, Scenario, Sweep, SweepCell,
+    SweepReport, Verdict,
 };
 pub use sched::SchedStats;
 pub use sim::{build_world, build_world_mode, sim_engine, SimConfig, SimReport};

@@ -336,8 +336,6 @@ impl Scenario {
     }
 
     /// The runner-effective exploration config (same precedence rule).
-    /// A `parallelism` of 0 (the [`ExploreConfig::default`]) resolves to
-    /// the host's available parallelism here.
     fn effective_explore(&self, cfg: &ExploreConfig) -> ExploreConfig {
         let mut eff = cfg.clone();
         if let Some(f) = self.faults {
@@ -346,7 +344,6 @@ impl Scenario {
             eff.retry_on_fail = f.retry_on_fail;
             eff.max_retries = f.max_retries;
         }
-        eff.parallelism = resolve_parallelism(eff.parallelism);
         eff
     }
 
@@ -538,17 +535,12 @@ impl Scenario {
                         private_bits,
                     );
                 }
-                // A `parallelism` of 0 (the config default) resolves to
-                // the host's available parallelism at this layer; the
-                // engines themselves treat 0 as sequential.
-                let mut eff = cfg.clone();
-                eff.parallelism = resolve_parallelism(cfg.parallelism);
                 if cfg.disk_dir.is_some() && obj.decodable() {
                     // Disk tier requested and the object can rebuild its
                     // machines from their encodings: spill the frontier.
-                    census_bfs_external_engine(&*obj, &mem, &alphabet, &eff)
+                    census_bfs_external_engine(&*obj, &mem, &alphabet, cfg)
                 } else {
-                    census_bfs_engine(&*obj, &mem, &alphabet, &eff)
+                    census_bfs_engine(&*obj, &mem, &alphabet, cfg)
                 }
             }
         };
@@ -681,18 +673,6 @@ impl Scenario {
     }
 }
 
-/// Resolves a requested worker-thread count: `0` — the [`BfsConfig`] and
-/// [`ExploreConfig`] default — means "use the host", i.e.
-/// `std::thread::available_parallelism()` (falling back to 1 when the host
-/// cannot report it). Any explicit nonzero request is honored as given.
-pub fn resolve_parallelism(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
 /// Which terminal runner produced a [`Verdict`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RunMode {
@@ -723,49 +703,69 @@ impl RunMode {
 
 /// Counters common to every terminal runner; fields a runner does not
 /// measure stay zero.
+///
+/// Each field is documented as **thread-invariant** (the same at every
+/// `parallelism` on a run that completes within its budget) or
+/// **scheduling-dependent** (it may differ between worker counts, and
+/// between two runs at the same count ≥ 2). Only thread-invariant fields
+/// may be compared across settings.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Complete executions examined (histories for `simulate`, leaves for
     /// `explore`, ops/configurations processed for `census`).
+    /// Thread-invariant, except the expansion count of a dominance-mode
+    /// census, which is scheduling-dependent (see
+    /// [`BfsConfig::dominance`]).
     pub executions: u64,
     /// Operations that resolved (returned or reached a recovery verdict).
+    /// Thread-invariant, except under dominance-mode census.
     pub resolved_ops: u64,
-    /// System-wide crashes injected.
+    /// System-wide crashes injected. Thread-invariant (seed-determined).
     pub crashes: u64,
     /// Recovery verdicts that reported a response — the interrupted
     /// operation *did* linearize before the crash (simulate runs).
+    /// Thread-invariant.
     pub recovered_ok: u64,
     /// Recovery verdicts that reported `fail` — never linearized
-    /// (simulate runs).
+    /// (simulate runs). Thread-invariant.
     pub recovered_failed: u64,
     /// In-flight operations recovery could not resolve within its step
     /// budget (process-crash runs; zero for every detectable object).
+    /// Thread-invariant.
     pub recovered_unresolved: u64,
-    /// Scheduler steps consumed.
+    /// Scheduler steps consumed. Thread-invariant, except under
+    /// dominance-mode census.
     pub steps: u64,
-    /// Explicit persist instructions executed.
+    /// Explicit persist instructions executed. Thread-invariant, except
+    /// under dominance-mode census.
     pub persists: u64,
     /// Distinct configurations (census: shared-memory classes; explore:
-    /// unique nodes expanded).
+    /// unique nodes expanded). Thread-invariant for census runs (both
+    /// modes); scheduling-dependent for explore runs
+    /// ([`ExploreOutcome::unique_nodes`](crate::ExploreOutcome)).
     pub distinct_configs: u64,
     /// The Theorem 1 lower bound `2^N − 1` for the world's process count
-    /// (census runs).
+    /// (census runs). Thread-invariant.
     pub theorem_bound: u64,
-    /// Whether a budget truncated coverage.
+    /// Whether a budget truncated coverage. Thread-invariant.
     pub truncated: bool,
-    /// Logical shared NVM bits allocated by the layout.
+    /// Logical shared NVM bits allocated by the layout. Thread-invariant.
     pub shared_bits: u64,
-    /// Logical private NVM bits allocated by the layout.
+    /// Logical private NVM bits allocated by the layout. Thread-invariant.
     pub private_bits: u64,
     /// Estimated peak resident bytes of the runner's data structures
     /// (census engines report it; other runners leave it zero). See
     /// [`CensusReport::peak_resident_bytes`](crate::CensusReport).
+    /// Thread-invariant for exact-mode censuses; scheduling-dependent
+    /// under dominance.
     pub peak_resident_bytes: u64,
     /// Bytes the external-memory census spilled to disk (frontier
     /// generations, sort runs, seen files; zero for in-RAM runs).
+    /// Thread-invariant (the external engine is sequential).
     pub spilled_bytes: u64,
     /// Work-stealing scheduler counters (census BFS and parallel explore
     /// runs; all-zero — empty per-worker vector — elsewhere).
+    /// Scheduling-dependent.
     pub sched: SchedStats,
 }
 
@@ -1438,6 +1438,63 @@ mod tests {
             hand_auto.stats.distinct_configs, off.stats.distinct_configs,
             "per-process workloads resolve Auto to Off"
         );
+    }
+
+    #[test]
+    fn config_defaults_are_one_worker() {
+        assert_eq!(ExploreConfig::default().parallelism, 1);
+        assert_eq!(BfsConfig::default().parallelism, 1);
+    }
+
+    #[test]
+    fn scenario_passes_parallelism_through_unchanged() {
+        let explore = Scenario::object(ObjectKind::Cas)
+            .processes(3)
+            .workload(Workload::round_robin(
+                vec![OpSpec::Cas { old: 0, new: 1 }],
+                1,
+            ))
+            .faults(CrashModel::exhaustive(1).retries(1));
+        let par = explore.explore(&ExploreConfig {
+            parallelism: 2,
+            ..Default::default()
+        });
+        assert_eq!(par.stats.sched.workers, 2);
+        // The default never starts a scheduler, whatever the host offers.
+        let seq = explore.explore(&ExploreConfig::default());
+        assert_eq!(seq.stats.sched, SchedStats::default());
+        assert_eq!(seq.stats.executions, par.stats.executions);
+
+        let census =
+            Scenario::object(ObjectKind::Cas)
+                .processes(3)
+                .workload(Workload::round_robin(
+                    vec![
+                        OpSpec::Cas { old: 0, new: 1 },
+                        OpSpec::Cas { old: 1, new: 0 },
+                    ],
+                    3,
+                ));
+        let par = census.census(&BfsConfig {
+            max_ops: 3,
+            parallelism: 2,
+            ..Default::default()
+        });
+        assert_eq!(par.stats.sched.workers, 2);
+        // The census's sequential path is a plain FIFO: it reports its one
+        // worker's expansions but never steals or parks.
+        let seq = census.census(&BfsConfig {
+            max_ops: 3,
+            ..Default::default()
+        });
+        assert_eq!(seq.stats.sched.workers, 1);
+        assert_eq!(seq.stats.sched.per_worker_expansions.len(), 1);
+        assert_eq!(
+            seq.stats.sched.steals + seq.stats.sched.steal_failures + seq.stats.sched.parks,
+            0
+        );
+        assert_eq!(seq.stats.executions, par.stats.executions);
+        assert_eq!(seq.stats.distinct_configs, par.stats.distinct_configs);
     }
 
     #[test]

@@ -64,8 +64,9 @@ use std::time::Duration;
 
 /// Scheduler-action counters for one parallel run, reported through
 /// [`RunStats`](crate::RunStats) into every `--json` stream. All zeros
-/// (with an empty per-worker vector) for runs that never started a
-/// parallel scheduler.
+/// (with an empty per-worker vector) for explorer and solo-drive runs that
+/// never started a parallel scheduler; the census BFS's sequential path
+/// reports one worker with its expansions and flush batches.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Worker threads the scheduler ran.
